@@ -333,6 +333,44 @@ pub struct BenchOutcome {
     pub report: RunReport,
     /// The human-readable summary that the binary prints.
     pub rendered: String,
+    /// Telemetry the run's registry dropped at its capacity caps.
+    pub obs_drops: ObsDrops,
+}
+
+/// Telemetry a registry dropped at its capacity caps: spans past the span
+/// buffer, timeline samples (and annotations) past the per-series window
+/// budget, history events past the history buffer.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ObsDrops {
+    /// Spans dropped.
+    pub spans: u64,
+    /// Timeline samples and annotations dropped.
+    pub timeline_samples: u64,
+    /// History events dropped.
+    pub history_events: u64,
+}
+
+impl ObsDrops {
+    /// The drop counters of `reg`.
+    pub fn of(reg: &cudele_obs::Registry) -> ObsDrops {
+        ObsDrops {
+            spans: reg.spans_dropped(),
+            timeline_samples: reg.timeline().dropped(),
+            history_events: reg.history_writer().dropped(),
+        }
+    }
+
+    /// The line the binary prints to stderr when anything was dropped, so
+    /// a truncated snapshot never passes silently. Kept out of
+    /// [`BenchOutcome::rendered`], whose bytes are compared across runs.
+    pub fn warning(&self) -> Option<String> {
+        (*self != ObsDrops::default()).then(|| {
+            format!(
+                "obs: {} spans, {} timeline samples, {} history events dropped",
+                self.spans, self.timeline_samples, self.history_events
+            )
+        })
+    }
 }
 
 /// Runs one configuration. Writes the `--metrics-out`/`--trace-out`
@@ -496,6 +534,7 @@ client.rpc.retries={} mds.session.reconnects={}",
             merge_end: out.end,
             report: out.report,
             rendered,
+            obs_drops: ObsDrops::of(&run_reg),
         });
     }
 
@@ -643,6 +682,7 @@ client.rpc.retries={} mds.session.reconnects={}",
         merge_end,
         report,
         rendered,
+        obs_drops: ObsDrops::of(&run_reg),
     })
 }
 
@@ -856,6 +896,9 @@ pub fn main() {
         Ok(outs) => {
             for out in outs {
                 print!("{}", out.rendered);
+                if let Some(warning) = out.obs_drops.warning() {
+                    eprintln!("{warning}");
+                }
             }
         }
         Err(msg) => {

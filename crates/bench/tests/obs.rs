@@ -8,7 +8,7 @@
 use std::sync::{Arc, Mutex, OnceLock};
 
 use cudele::{execute_merge_at, Composition, ExecEnv};
-use cudele_bench::mdbench::{self, BenchConfig};
+use cudele_bench::mdbench::{self, BenchConfig, ObsDrops};
 use cudele_bench::{DecoupledCreateProcess, RpcCreateProcess, World};
 use cudele_client::LocalDisk;
 use cudele_mds::{MdLogConfig, MetadataServer};
@@ -253,4 +253,49 @@ fn same_fault_plan_runs_are_byte_identical() {
         counter("journal.io.retries") > 0,
         "mdlog writer should have absorbed some transients"
     );
+}
+
+/// mdbench warns whenever the run dropped telemetry: a span buffer far
+/// below the run's span count yields the `obs: ... dropped` line the
+/// binary prints to stderr, and the summary it compares byte for byte
+/// stays free of it. At regress scale nothing drops, so no warning.
+#[test]
+fn drop_warning_appears_past_the_span_capacity_only() {
+    let _guard = obs_lock().lock().unwrap();
+
+    let (metrics, _) = snapshot_paths("drops");
+    let out = mdbench::run(&BenchConfig {
+        clients: 2,
+        files: 50,
+        metrics_out: Some(metrics.clone()),
+        span_capacity: Some(16),
+        ..BenchConfig::default()
+    })
+    .unwrap();
+    let _ = std::fs::remove_file(&metrics);
+    assert!(out.obs_drops.spans > 0, "{:?}", out.obs_drops);
+    assert_eq!(
+        out.obs_drops.warning().as_deref(),
+        Some(
+            format!(
+                "obs: {} spans, 0 timeline samples, 0 history events dropped",
+                out.obs_drops.spans
+            )
+            .as_str()
+        )
+    );
+    assert!(!out.rendered.contains("dropped"), "{}", out.rendered);
+
+    // The regress mdbench rows: 2 clients x 500 creates per policy.
+    for policy in ["posix", "batchfs", "deltafs"] {
+        let out = mdbench::run(&BenchConfig {
+            clients: 2,
+            files: 500,
+            policy: policy.to_string(),
+            ..BenchConfig::default()
+        })
+        .unwrap();
+        assert_eq!(out.obs_drops, ObsDrops::default(), "{policy}");
+        assert_eq!(out.obs_drops.warning(), None, "{policy}");
+    }
 }

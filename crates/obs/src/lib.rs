@@ -22,7 +22,8 @@
 //! * [`Registry::metrics_json`] — a flat snapshot of every counter, gauge
 //!   and histogram (with p50/p95/p99), hand-rolled — no serde.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -272,7 +273,9 @@ impl Histogram {
     }
 }
 
-/// One completed span on the virtual timeline.
+/// One completed span on the virtual timeline: the export form of the
+/// registry's span log, returned by [`Registry::spans`] and accepted by
+/// [`Registry::record_span`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Event name (e.g. a mechanism name like `volatile_apply`).
@@ -372,11 +375,101 @@ impl<'a> TraceSink<'a> {
     }
 }
 
+/// One retained span as the log stores it: fixed-size, with the name and
+/// category as ids into the registry's [`Interner`]. 80 bytes on 64-bit
+/// targets; `args` owns heap memory only when the caller passed some.
+#[derive(Debug)]
+struct SpanRecord {
+    start: Nanos,
+    dur: Nanos,
+    span_id: u64,
+    parent_id: u64,
+    trace_id: u64,
+    args: Vec<(String, String)>,
+    name: u32,
+    cat: u32,
+    tid: u32,
+}
+
+/// A multiply-rotate hasher (the rustc "Fx" hash) for the short,
+/// trusted name keys of the span intern table and the mechanism cache,
+/// where SipHash's flooding resistance buys nothing and costs most of a
+/// lookup.
+#[derive(Debug, Default, Clone, Copy)]
+struct NameHasher(u64);
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let word = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
+        }
+        for &b in chunks.remainder() {
+            self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(K);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed by names, hashed with [`NameHasher`].
+type NameMap<V> = HashMap<Box<str>, V, BuildHasherDefault<NameHasher>>;
+
+/// Span names and categories, each stored once per registry and named by
+/// a dense `u32` id in first-recorded order.
+#[derive(Debug, Default)]
+struct Interner {
+    ids: NameMap<u32>,
+    names: Vec<Box<str>>,
+}
+
+impl Interner {
+    /// The id of `s`, allocating it (and its one copy) on first sight.
+    fn intern(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        let id = u32::try_from(self.names.len()).expect("more than u32::MAX span names");
+        self.names.push(s.into());
+        self.ids.insert(s.into(), id);
+        id
+    }
+
+    fn get(&self, s: &str) -> Option<u32> {
+        self.ids.get(s).copied()
+    }
+
+    fn name(&self, id: u32) -> &str {
+        &self.names[id as usize]
+    }
+}
+
 #[derive(Debug)]
 struct SpanLog {
-    spans: Vec<Span>,
+    records: Vec<SpanRecord>,
+    names: Interner,
     capacity: usize,
     dropped: u64,
+}
+
+impl SpanLog {
+    fn export(&self, r: &SpanRecord) -> Span {
+        Span {
+            name: self.names.name(r.name).to_string(),
+            cat: self.names.name(r.cat).to_string(),
+            tid: r.tid,
+            start: r.start,
+            dur: r.dur,
+            span_id: r.span_id,
+            parent_id: r.parent_id,
+            trace_id: r.trace_id,
+            args: r.args.clone(),
+        }
+    }
 }
 
 /// The central sink for one run's metrics and spans.
@@ -389,6 +482,10 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
+    /// Handles onto each observed mechanism's `core.mechanism.<name>.runs`
+    /// counter and `.ns` histogram, so [`observe_mechanism_at`] builds the
+    /// two metric names once per mechanism rather than once per call.
+    mechanisms: Mutex<NameMap<(Counter, Histogram)>>,
     spans: Mutex<SpanLog>,
     /// Consistency history (see [`history`]): per-client invoke/ack
     /// records the offline checkers consume.
@@ -422,8 +519,10 @@ impl Registry {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
+            mechanisms: Mutex::new(NameMap::default()),
             spans: Mutex::new(SpanLog {
-                spans: Vec::new(),
+                records: Vec::new(),
+                names: Interner::default(),
                 capacity,
                 dropped: 0,
             }),
@@ -478,7 +577,8 @@ impl Registry {
         self.end_span_args(ctx, name, cat, start, dur, Vec::new());
     }
 
-    /// Records the completed span for `ctx` with extra args.
+    /// Records the completed span for `ctx` with extra args. A full log
+    /// counts the drop before interning or allocating anything.
     pub fn end_span_args(
         &self,
         ctx: TraceCtx,
@@ -488,16 +588,23 @@ impl Registry {
         dur: Nanos,
         args: Vec<(String, String)>,
     ) {
-        self.record_span(Span {
-            name: name.to_string(),
-            cat: cat.to_string(),
-            tid: ctx.tid,
+        let mut log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
+        if log.records.len() >= log.capacity {
+            log.dropped += 1;
+            return;
+        }
+        let name = log.names.intern(name);
+        let cat = log.names.intern(cat);
+        log.records.push(SpanRecord {
             start,
             dur,
             span_id: ctx.span_id,
             parent_id: ctx.parent_id,
             trace_id: ctx.trace_id,
             args,
+            name,
+            cat,
+            tid: ctx.tid,
         });
     }
 
@@ -518,20 +625,17 @@ impl Registry {
 
     /// Gets or creates the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut m = self.counters.lock().unwrap_or_else(|p| p.into_inner());
-        m.entry(name.to_string()).or_default().clone()
+        get_or_create(&self.counters, name)
     }
 
     /// Gets or creates the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut m = self.gauges.lock().unwrap_or_else(|p| p.into_inner());
-        m.entry(name.to_string()).or_default().clone()
+        get_or_create(&self.gauges, name)
     }
 
     /// Gets or creates the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut m = self.histograms.lock().unwrap_or_else(|p| p.into_inner());
-        m.entry(name.to_string()).or_default().clone()
+        get_or_create(&self.histograms, name)
     }
 
     /// Current value of counter `name`, if it exists.
@@ -548,12 +652,13 @@ impl Registry {
 
     /// Records a fully built span.
     pub fn record_span(&self, span: Span) {
-        let mut log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
-        if log.spans.len() < log.capacity {
-            log.spans.push(span);
-        } else {
-            log.dropped += 1;
-        }
+        let ctx = TraceCtx {
+            trace_id: span.trace_id,
+            span_id: span.span_id,
+            parent_id: span.parent_id,
+            tid: span.tid,
+        };
+        self.end_span_args(ctx, &span.name, &span.cat, span.start, span.dur, span.args);
     }
 
     /// Records a standalone span without extra args. The span becomes a
@@ -567,7 +672,7 @@ impl Registry {
     /// Number of retained spans.
     pub fn span_count(&self) -> usize {
         let log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
-        log.spans.len()
+        log.records.len()
     }
 
     /// Number of spans dropped after the capacity filled.
@@ -579,13 +684,15 @@ impl Registry {
     /// A copy of the retained spans, in recording order.
     pub fn spans(&self) -> Vec<Span> {
         let log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
-        log.spans.clone()
+        log.records.iter().map(|r| log.export(r)).collect()
     }
 
     /// Whether any retained span carries `name`.
     pub fn has_span(&self, name: &str) -> bool {
         let log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
-        log.spans.iter().any(|s| s.name == name)
+        log.names
+            .get(name)
+            .is_some_and(|id| log.records.iter().any(|r| r.name == id))
     }
 
     /// The span-retention capacity this registry was built with.
@@ -629,7 +736,8 @@ impl Registry {
     /// Folds another registry's contents into this one: counters add,
     /// gauges take the source's value (last-write-wins in merge order),
     /// histograms merge bucket-wise, and spans are appended with their ids
-    /// rebased past this registry's allocator.
+    /// rebased past this registry's allocator and their names mapped onto
+    /// this registry's intern table (whatever order either learned them).
     ///
     /// The rebase makes merge order *the* id order: merging per-task
     /// registries back into a session registry in input order produces
@@ -663,19 +771,34 @@ impl Registry {
         }
         let offset = self.next_span_id.load(Ordering::Relaxed);
         let rebase = |id: u64| if id == 0 { 0 } else { id + offset };
-        let (src_spans, src_dropped) = {
-            let log = other.spans.lock().unwrap_or_else(|p| p.into_inner());
-            (log.spans.clone(), log.dropped)
-        };
-        for mut span in src_spans {
-            span.span_id = rebase(span.span_id);
-            span.parent_id = rebase(span.parent_id);
-            span.trace_id = rebase(span.trace_id);
-            self.record_span(span);
-        }
-        if src_dropped > 0 {
-            let mut log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
-            log.dropped += src_dropped;
+        {
+            let src = other.spans.lock().unwrap_or_else(|p| p.into_inner());
+            let mut dst = self.spans.lock().unwrap_or_else(|p| p.into_inner());
+            // Source id -> destination id, interned on first retained use.
+            let mut remap = vec![u32::MAX; src.names.names.len()];
+            let room = dst.capacity.saturating_sub(dst.records.len());
+            for r in src.records.iter().take(room) {
+                let mut map = |id: u32| {
+                    let to = &mut remap[id as usize];
+                    if *to == u32::MAX {
+                        *to = dst.names.intern(src.names.name(id));
+                    }
+                    *to
+                };
+                let (name, cat) = (map(r.name), map(r.cat));
+                dst.records.push(SpanRecord {
+                    start: r.start,
+                    dur: r.dur,
+                    span_id: rebase(r.span_id),
+                    parent_id: rebase(r.parent_id),
+                    trace_id: rebase(r.trace_id),
+                    args: r.args.clone(),
+                    name,
+                    cat,
+                    tid: r.tid,
+                });
+            }
+            dst.dropped += src.records.len().saturating_sub(room) as u64 + src.dropped;
         }
         // History events and timeline worst-sample markers reference trace
         // roots by id, so they rebase by the same offset as the spans they
@@ -704,7 +827,7 @@ impl Registry {
     pub fn chrome_trace_json(&self) -> String {
         let tl = self.timeline.snapshot();
         let log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
-        let mut out = String::with_capacity(64 + log.spans.len() * 96);
+        let mut out = String::with_capacity(64 + log.records.len() * 96);
         out.push_str("{\"traceEvents\":[");
         let mut first_event = true;
         for s in &tl.series {
@@ -722,15 +845,15 @@ impl Registry {
                 out.push_str("}}");
             }
         }
-        for s in log.spans.iter() {
+        for s in log.records.iter() {
             if !first_event {
                 out.push(',');
             }
             first_event = false;
             out.push_str("{\"name\":\"");
-            out.push_str(&escape_json(&s.name));
+            out.push_str(&escape_json(log.names.name(s.name)));
             out.push_str("\",\"cat\":\"");
-            out.push_str(&escape_json(&s.cat));
+            out.push_str(&escape_json(log.names.name(s.cat)));
             out.push_str("\",\"ph\":\"X\",\"ts\":");
             push_micros(&mut out, s.start.0);
             out.push_str(",\"dur\":");
@@ -787,7 +910,7 @@ impl Registry {
             {
                 let log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
                 vals.insert("obs.spans_dropped".to_string(), log.dropped);
-                vals.insert("obs.spans_recorded".to_string(), log.spans.len() as u64);
+                vals.insert("obs.spans_recorded".to_string(), log.records.len() as u64);
             }
             vals.insert(
                 "obs.timeline.windows_dropped".to_string(),
@@ -856,13 +979,23 @@ impl Registry {
         out.push_str("},\n  \"spans\": {\"recorded\": ");
         {
             let log = self.spans.lock().unwrap_or_else(|p| p.into_inner());
-            out.push_str(&log.spans.len().to_string());
+            out.push_str(&log.records.len().to_string());
             out.push_str(", \"dropped\": ");
             out.push_str(&log.dropped.to_string());
         }
         out.push_str("}\n}\n");
         out
     }
+}
+
+/// Gets or creates the metric `name` in `map`, allocating the key only
+/// when the metric is new.
+fn get_or_create<T: Clone + Default>(map: &Mutex<BTreeMap<String, T>>, name: &str) -> T {
+    let mut m = map.lock().unwrap_or_else(|p| p.into_inner());
+    if let Some(v) = m.get(name) {
+        return v.clone();
+    }
+    m.entry(name.to_string()).or_default().clone()
 }
 
 /// Observes one executed mechanism (any of the paper's Figure 4 seven):
@@ -883,9 +1016,20 @@ pub fn observe_mechanism(reg: &Registry, name: &str, tid: u32, start: Nanos, dur
 /// opening a trace of its own. `ctx` should be a child context derived
 /// from the client op's root (see [`Registry::trace_child`]).
 pub fn observe_mechanism_at(reg: &Registry, name: &str, ctx: TraceCtx, start: Nanos, dur: Nanos) {
-    reg.counter(&format!("core.mechanism.{name}.runs")).inc();
-    reg.histogram(&format!("core.mechanism.{name}.ns"))
-        .record(dur.0);
+    {
+        let mut m = reg.mechanisms.lock().unwrap_or_else(|p| p.into_inner());
+        let (runs, ns) = match m.get(name) {
+            Some(handles) => handles,
+            None => m.entry(name.into()).or_insert_with(|| {
+                (
+                    reg.counter(&format!("core.mechanism.{name}.runs")),
+                    reg.histogram(&format!("core.mechanism.{name}.ns")),
+                )
+            }),
+        };
+        runs.inc();
+        ns.record(dur.0);
+    }
     reg.end_span(ctx, name, "mechanism", start, dur);
 }
 
@@ -1028,6 +1172,45 @@ mod tests {
         assert_eq!(reg.span_count(), 2);
         assert_eq!(reg.spans_dropped(), 3);
         assert!(reg.has_span("s0") && reg.has_span("s1") && !reg.has_span("s2"));
+    }
+
+    /// A full log counts each drop and leaves its intern table as it
+    /// was: no name of a dropped span is ever stored, on any record path.
+    #[test]
+    fn full_log_counts_drops_without_interning() {
+        let interned = |reg: &Registry| reg.spans.lock().unwrap().names.names.len();
+        let reg = Registry::with_span_capacity(1);
+        reg.span("kept", "t", 0, Nanos(0), Nanos(1));
+        assert_eq!(interned(&reg), 2);
+        reg.span("dropped", "other", 0, Nanos(1), Nanos(1));
+        let ctx = reg.trace_root(0);
+        let args = vec![("k".to_string(), "v".to_string())];
+        reg.end_span_args(ctx, "dropped.args", "c", Nanos(2), Nanos(1), args);
+        reg.record_span(Span {
+            name: "dropped.record".into(),
+            cat: "c".into(),
+            tid: 0,
+            start: Nanos(3),
+            dur: Nanos(1),
+            span_id: 0,
+            parent_id: 0,
+            trace_id: 0,
+            args: Vec::new(),
+        });
+        let src = Registry::new();
+        src.span("from.src", "src.cat", 1, Nanos(4), Nanos(1));
+        reg.merge_from(&src);
+        assert_eq!(reg.spans_dropped(), 4);
+        assert_eq!(reg.span_count(), 1);
+        assert_eq!(interned(&reg), 2);
+        assert!(reg.has_span("kept") && !reg.has_span("dropped"));
+    }
+
+    /// The per-span cost DESIGN.md §8 quotes.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn span_record_is_80_bytes() {
+        assert_eq!(std::mem::size_of::<SpanRecord>(), 80);
     }
 
     #[test]

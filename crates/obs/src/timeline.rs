@@ -21,6 +21,9 @@
 //!   retained; beyond that, *new* windows are dropped first-come-kept
 //!   (insertion order decides who survives, mirroring the span log) and
 //!   the drops are counted — never silent.
+//! * Finding a sample's window is O(1), hit or miss: each series keeps a
+//!   hash index beside its insertion-ordered windows, so recording cost
+//!   does not grow with the windows a series holds.
 //! * Merging per-task timelines in input order reproduces serial
 //!   recording exactly: per-window counts add, gauge last-values are
 //!   last-write-wins in merge order, latency buckets add, and the worst
@@ -114,6 +117,64 @@ impl Window {
 struct SeriesData {
     kind: SeriesKind,
     windows: Vec<(u64, Window)>,
+    /// Open-addressed hash of window index → position in `windows`, so a
+    /// window is found in O(1) however many the series holds. Slots store
+    /// `position + 1` (0 is empty); the key is read back from `windows`,
+    /// so a slot costs 4 bytes. Load stays at or below one half.
+    index: Vec<u32>,
+}
+
+impl SeriesData {
+    fn new(kind: SeriesKind) -> SeriesData {
+        SeriesData {
+            kind,
+            windows: Vec::new(),
+            index: Vec::new(),
+        }
+    }
+
+    /// The slot holding window `idx`, or the empty slot where it would go.
+    /// Fibonacci hashing spreads the consecutive indices a time series
+    /// produces; linear probing resolves collisions.
+    fn probe(&self, idx: u64) -> (usize, bool) {
+        let mask = self.index.len() - 1;
+        let mut slot = (idx.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        loop {
+            match self.index[slot] {
+                0 => return (slot, false),
+                p if self.windows[p as usize - 1].0 == idx => return (slot, true),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// The retained window `idx`, if any.
+    fn window_mut(&mut self, idx: u64) -> Option<&mut Window> {
+        if self.index.is_empty() {
+            return None;
+        }
+        match self.probe(idx) {
+            (slot, true) => Some(&mut self.windows[self.index[slot] as usize - 1].1),
+            _ => None,
+        }
+    }
+
+    /// Appends a window whose index the series does not hold yet.
+    fn push(&mut self, idx: u64, w: Window) {
+        self.windows.push((idx, w));
+        if self.windows.len() * 2 > self.index.len() {
+            // Rebuild at double size; positions never move, so rehashing
+            // the insertion-ordered windows restores every slot.
+            self.index = vec![0; (self.windows.len() * 2).next_power_of_two().max(8)];
+            for pos in 0..self.windows.len() {
+                let (slot, _) = self.probe(self.windows[pos].0);
+                self.index[slot] = pos as u32 + 1;
+            }
+        } else {
+            let (slot, _) = self.probe(idx);
+            self.index[slot] = self.windows.len() as u32;
+        }
+    }
 }
 
 /// A point-in-time marker (crash, detection, takeover, checkpoint
@@ -254,16 +315,17 @@ impl Timeline {
         lost: u64,
         f: impl FnOnce(&mut Window),
     ) {
-        let mut d = self.lock();
+        let mut guard = self.lock();
+        let d = &mut *guard;
         let idx = t.0 / d.window;
-        let cap = d.max_windows;
-        let series = d
-            .series
-            .entry(name.to_string())
-            .or_insert_with(|| SeriesData {
-                kind,
-                windows: Vec::new(),
-            });
+        // The key is allocated only when the series is first created.
+        let series = match d.series.get_mut(name) {
+            Some(series) => series,
+            None => d
+                .series
+                .entry(name.to_string())
+                .or_insert_with(|| SeriesData::new(kind)),
+        };
         // A name's kind is fixed at first use; a mismatched later call is
         // a programming error — drop it deterministically rather than
         // corrupt the series.
@@ -271,17 +333,14 @@ impl Timeline {
             debug_assert!(false, "timeline series {name:?} kind mismatch");
             return;
         }
-        // Recording is mostly time-monotone per task, so scan from the
-        // back: the hit is almost always the last window.
-        let pos = series.windows.iter().rposition(|(w, _)| *w == idx);
-        match pos {
-            Some(p) => f(&mut series.windows[p].1),
-            None if series.windows.len() < cap => {
-                let mut w = Window::new();
-                f(&mut w);
-                series.windows.push((idx, w));
-            }
-            None => d.windows_dropped += lost,
+        if let Some(w) = series.window_mut(idx) {
+            f(w);
+        } else if series.windows.len() < d.max_windows {
+            let mut w = Window::new();
+            f(&mut w);
+            series.push(idx, w);
+        } else {
+            d.windows_dropped += lost;
         }
     }
 
@@ -315,13 +374,13 @@ impl Timeline {
         let mut dst = self.lock();
         let cap = dst.max_windows;
         for (name, s) in src.series.iter() {
-            let into = dst
-                .series
-                .entry(name.clone())
-                .or_insert_with(|| SeriesData {
-                    kind: s.kind,
-                    windows: Vec::new(),
-                });
+            let into = match dst.series.get_mut(name.as_str()) {
+                Some(into) => into,
+                None => dst
+                    .series
+                    .entry(name.clone())
+                    .or_insert_with(|| SeriesData::new(s.kind)),
+            };
             if into.kind != s.kind {
                 debug_assert!(false, "timeline series {name:?} kind mismatch on merge");
                 continue;
@@ -333,40 +392,37 @@ impl Timeline {
                 } else {
                     w.worst_trace + trace_offset
                 };
-                match into.windows.iter().rposition(|(i, _)| i == idx) {
-                    Some(p) => {
-                        let d = &mut into.windows[p].1;
-                        d.sum = d.sum.saturating_add(w.sum);
-                        d.min = d.min.min(w.min);
-                        d.max = d.max.max(w.max);
-                        if w.count > 0 {
-                            // Serial order is self's records then other's,
-                            // so other's last gauge write wins.
-                            d.last_bits = w.last_bits;
-                        }
-                        d.count += w.count;
-                        if let Some(src_b) = &w.buckets {
-                            let b = d.buckets.get_or_insert_with(|| Box::new([0; HIST_BUCKETS]));
-                            for (x, y) in b.iter_mut().zip(src_b.iter()) {
-                                *x += y;
-                            }
-                        }
-                        // Strictly-greater keeps the first occurrence of
-                        // the maximum, which in serial order is self's.
-                        if w.worst > d.worst {
-                            d.worst = w.worst;
-                            d.worst_trace = rebased;
+                if let Some(d) = into.window_mut(*idx) {
+                    d.sum = d.sum.saturating_add(w.sum);
+                    d.min = d.min.min(w.min);
+                    d.max = d.max.max(w.max);
+                    if w.count > 0 {
+                        // Serial order is self's records then other's,
+                        // so other's last gauge write wins.
+                        d.last_bits = w.last_bits;
+                    }
+                    d.count += w.count;
+                    if let Some(src_b) = &w.buckets {
+                        let b = d.buckets.get_or_insert_with(|| Box::new([0; HIST_BUCKETS]));
+                        for (x, y) in b.iter_mut().zip(src_b.iter()) {
+                            *x += y;
                         }
                     }
-                    None if into.windows.len() < cap => {
-                        let mut d = w.clone();
+                    // Strictly-greater keeps the first occurrence of
+                    // the maximum, which in serial order is self's.
+                    if w.worst > d.worst {
+                        d.worst = w.worst;
                         d.worst_trace = rebased;
-                        into.windows.push((*idx, d));
                     }
+                } else if into.windows.len() < cap {
+                    let mut d = w.clone();
+                    d.worst_trace = rebased;
+                    into.push(*idx, d);
+                } else {
                     // The whole window fails to land: count every event
                     // it carried, matching what a serial recording would
                     // have counted dropping them one call at a time.
-                    None => dropped += w.count,
+                    dropped += w.count;
                 }
             }
             dst.windows_dropped += dropped;
@@ -854,6 +910,13 @@ mod tests {
         assert_eq!(back.to_json(), json);
         assert_eq!(back.annotations.len(), 1);
         assert_eq!(back.annotations[0].at, Nanos::from_millis(5));
+    }
+
+    /// The per-window cost DESIGN.md §13.1 quotes.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn retained_window_is_72_bytes() {
+        assert_eq!(std::mem::size_of::<(u64, Window)>(), 72);
     }
 
     #[test]
