@@ -6,7 +6,7 @@
 //! the journal applied in order), and repeated global reads never travel
 //! backwards in time (monotonic reads).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use cudele_obs::history::{HistoryEvent, HistoryOp, HistoryScope};
 
@@ -41,15 +41,15 @@ pub fn read_your_writes(events: &[HistoryEvent]) -> Result<u64, Violation> {
 /// history. Reads of these names may legitimately flip between found and
 /// not-found under concurrent writers, so the monotonic and eventual
 /// checkers exempt them (conservative: never a false violation).
-pub fn unstable_names(events: &[HistoryEvent]) -> BTreeSet<(u64, String)> {
-    let mut set = BTreeSet::new();
+pub fn unstable_names(events: &[HistoryEvent]) -> HashSet<(u64, &str)> {
+    let mut set = HashSet::new();
     for ev in events {
         if !ev.result.effective() {
             continue;
         }
         match &ev.op {
             HistoryOp::Unlink { dir, name } => {
-                set.insert((*dir, name.clone()));
+                set.insert((*dir, name.as_str()));
             }
             HistoryOp::Rename {
                 src_dir,
@@ -57,8 +57,8 @@ pub fn unstable_names(events: &[HistoryEvent]) -> BTreeSet<(u64, String)> {
                 dst_dir,
                 dst_name,
             } => {
-                set.insert((*src_dir, src_name.clone()));
-                set.insert((*dst_dir, dst_name.clone()));
+                set.insert((*src_dir, src_name.as_str()));
+                set.insert((*dst_dir, dst_name.as_str()));
             }
             _ => {}
         }
@@ -73,7 +73,7 @@ pub fn unstable_names(events: &[HistoryEvent]) -> BTreeSet<(u64, String)> {
 pub fn monotonic_reads(events: &[HistoryEvent]) -> Result<u64, Violation> {
     let unstable = unstable_names(events);
     // (client, epoch, dir, name) -> last observed inode.
-    let mut seen: BTreeMap<(u64, u64, u64, String), u64> = BTreeMap::new();
+    let mut seen: HashMap<(u64, u64, u64, &str), u64> = HashMap::new();
     let mut checked = 0u64;
     for (i, ev) in events.iter().enumerate() {
         let HistoryOp::Lookup { dir, name, found } = &ev.op else {
@@ -82,11 +82,11 @@ pub fn monotonic_reads(events: &[HistoryEvent]) -> Result<u64, Violation> {
         if ev.scope != HistoryScope::Global || !ev.result.effective() {
             continue;
         }
-        if unstable.contains(&(*dir, name.clone())) {
+        if unstable.contains(&(*dir, name.as_str())) {
             continue;
         }
         checked += 1;
-        let key = (ev.client, ev.epoch, *dir, name.clone());
+        let key = (ev.client, ev.epoch, *dir, name.as_str());
         match (seen.get(&key), found) {
             (Some(prev), None) => {
                 return Err(Violation {

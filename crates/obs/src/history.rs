@@ -17,11 +17,12 @@
 //! (read-your-writes, monotonic reads) and eventual-visibility-after-merge
 //! for decoupled runs.
 
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 use cudele_sim::Nanos;
 
-use crate::json::{self, Value};
+use crate::json::{self, Lexer};
 
 /// Version tag of the serialized history layout.
 pub const SCHEMA: &str = "cudele-history/v1";
@@ -334,36 +335,192 @@ impl History {
         out
     }
 
-    /// Parses a serialized history, validating the schema tag.
+    /// Parses a serialized history, validating the schema tag. Events are
+    /// read straight off the JSON lexer, with no intermediate tree, and
+    /// every integer field is read exactly as a `u64`. Keys may come in
+    /// any order; the first of duplicate keys wins and unknown keys are
+    /// skipped. Malformed JSON anywhere is reported first, then a missing
+    /// schema, mode, `dropped` or events array, then the first bad event.
     pub fn parse(s: &str) -> Result<History, String> {
-        let doc = json::parse(s)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Value::as_str)
-            .ok_or("history: missing schema")?;
+        let mut lx = Lexer::new(s);
+        let (mut schema, mut mode, mut dropped, mut events) = (None, None, None, None);
+        if lx.peek() == Some(b'{') {
+            let mut key = lx.begin_object()?;
+            while let Some(k) = key {
+                match k.as_ref() {
+                    "schema" if schema.is_none() => schema = Some(field(&mut lx)?),
+                    "mode" if mode.is_none() => mode = Some(field(&mut lx)?),
+                    "dropped" if dropped.is_none() => dropped = Some(field(&mut lx)?),
+                    "events" if events.is_none() => events = Some(read_events(&mut lx)?),
+                    _ => lx.skip()?,
+                }
+                key = lx.next_key()?;
+            }
+        } else {
+            lx.skip()?;
+        }
+        lx.finish()?;
+        let Some(Field::Str(schema)) = schema else {
+            return Err("history: missing schema".to_string());
+        };
         if schema != SCHEMA {
             return Err(format!("history schema {schema:?}, expected {SCHEMA:?}"));
         }
-        let mode = doc
-            .get("mode")
-            .and_then(Value::as_str)
-            .ok_or("history: missing mode")?
-            .to_string();
-        let dropped = doc.get("dropped").and_then(Value::as_u64).unwrap_or(0);
-        let raw = doc
-            .get("events")
-            .and_then(Value::as_arr)
-            .ok_or("history: missing events array")?;
-        let mut events = Vec::with_capacity(raw.len());
-        for (i, e) in raw.iter().enumerate() {
-            events.push(parse_event(e).map_err(|m| format!("history event {i}: {m}"))?);
-        }
+        let Some(Field::Str(mode)) = mode else {
+            return Err("history: missing mode".to_string());
+        };
+        let dropped = uint(dropped.as_ref(), "dropped")
+            .map_err(|m| format!("history: {m}"))?
+            .unwrap_or(0);
+        let events = match events {
+            Some(Events::Read(events)) => events,
+            Some(Events::Bad(message)) => return Err(message),
+            None | Some(Events::NotArray) => {
+                return Err("history: missing events array".to_string())
+            }
+        };
         Ok(History {
-            mode,
+            mode: mode.into_owned(),
             events,
             dropped,
         })
     }
+}
+
+/// One member value as the history reader sees it.
+enum Field<'a> {
+    Str(Cow<'a, str>),
+    /// A number token's text.
+    Num(&'a str),
+    Null,
+    /// Any other value (read and dropped).
+    Other,
+}
+
+fn field<'a>(lx: &mut Lexer<'a>) -> Result<Field<'a>, String> {
+    Ok(match lx.peek() {
+        Some(b'"') => Field::Str(lx.string()?),
+        Some(b'-' | b'0'..=b'9') => Field::Num(lx.number()?),
+        // Only `null` starts with `n`; `skip` still checks the rest.
+        Some(b'n') => lx.skip().map(|()| Field::Null)?,
+        _ => lx.skip().map(|()| Field::Other)?,
+    })
+}
+
+/// An integer member: absent → `None`; present but not a non-negative
+/// integer that fits a `u64` → an error naming `key`.
+fn uint(f: Option<&Field>, key: &str) -> Result<Option<u64>, String> {
+    match f {
+        None => Ok(None),
+        Some(Field::Num(text)) => json::exact_u64(text)
+            .map(Some)
+            .ok_or_else(|| format!("bad {key}")),
+        Some(_) => Err(format!("bad {key}")),
+    }
+}
+
+/// What the first `events` member held.
+enum Events {
+    NotArray,
+    /// The first bad event's message (later events were still read, so
+    /// malformed JSON after it takes precedence).
+    Bad(String),
+    Read(Vec<HistoryEvent>),
+}
+
+fn read_events(lx: &mut Lexer) -> Result<Events, String> {
+    if lx.peek() != Some(b'[') {
+        lx.skip()?;
+        return Ok(Events::NotArray);
+    }
+    let mut events = Vec::new();
+    let mut bad = None;
+    let mut members = Vec::new();
+    let mut more = lx.begin_array()?;
+    while more {
+        let i = events.len();
+        let ev = if lx.peek() == Some(b'{') {
+            members.clear();
+            let mut key = lx.begin_object()?;
+            while let Some(k) = key {
+                members.push((k, field(lx)?));
+                key = lx.next_key()?;
+            }
+            build_event(&members)
+        } else {
+            lx.skip()?;
+            Err("missing op".to_string())
+        };
+        match ev {
+            Ok(ev) if bad.is_none() => events.push(ev),
+            Ok(_) => {}
+            Err(m) => {
+                bad.get_or_insert_with(|| format!("history event {i}: {m}"));
+            }
+        }
+        more = lx.next_item()?;
+    }
+    Ok(bad.map_or(Events::Read(events), Events::Bad))
+}
+
+/// Builds one event from its object's members, in document order (the
+/// first of duplicate keys wins).
+fn build_event(members: &[(Cow<str>, Field)]) -> Result<HistoryEvent, String> {
+    let get = |key: &str| members.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    let need = |key: &str| uint(get(key), key)?.ok_or_else(|| format!("missing {key}"));
+    let text = |key: &str| match get(key) {
+        Some(Field::Str(s)) => Ok(s.as_ref()),
+        _ => Err(format!("missing {key}")),
+    };
+    let dir = || need("dir");
+    let name = |key| text(key).map(str::to_string);
+    let op = match text("op")? {
+        "create" => HistoryOp::Create {
+            dir: dir()?,
+            name: name("name")?,
+        },
+        "mkdir" => HistoryOp::Mkdir {
+            dir: dir()?,
+            name: name("name")?,
+        },
+        "unlink" => HistoryOp::Unlink {
+            dir: dir()?,
+            name: name("name")?,
+        },
+        "rename" => HistoryOp::Rename {
+            src_dir: dir()?,
+            src_name: name("name")?,
+            dst_dir: need("dir2")?,
+            dst_name: name("name2")?,
+        },
+        "lookup" => HistoryOp::Lookup {
+            dir: dir()?,
+            name: name("name")?,
+            found: match get("found") {
+                None | Some(Field::Null) => None,
+                found => uint(found, "found")?,
+            },
+        },
+        "readdir" => HistoryOp::Readdir {
+            dir: dir()?,
+            entries: need("entries")?,
+        },
+        "merge" => HistoryOp::Merge {
+            events: need("events")?,
+        },
+        other => return Err(format!("unknown op {other:?}")),
+    };
+    Ok(HistoryEvent {
+        client: need("client")?,
+        scope: HistoryScope::parse(text("scope")?)?,
+        op,
+        result: HistoryResult::parse(text("result")?)?,
+        ino: uint(get("ino"), "ino")?.unwrap_or(0),
+        invoke: Nanos(need("invoke")?),
+        ack: Nanos(need("ack")?),
+        epoch: uint(get("epoch"), "epoch")?.unwrap_or(0),
+        trace_id: uint(get("trace_id"), "trace_id")?.unwrap_or(0),
+    })
 }
 
 fn push_event(out: &mut String, ev: &HistoryEvent) {
@@ -435,72 +592,6 @@ fn push_event(out: &mut String, ev: &HistoryEvent) {
     out.push_str(",\"trace_id\":");
     out.push_str(&ev.trace_id.to_string());
     out.push('}');
-}
-
-fn parse_event(e: &Value) -> Result<HistoryEvent, String> {
-    let num = |key: &str| e.get(key).and_then(Value::as_u64);
-    let string = |key: &str| {
-        e.get(key)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("missing {key}"))
-    };
-    let dir = || num("dir").ok_or("missing dir");
-    let op = match e.get("op").and_then(Value::as_str).ok_or("missing op")? {
-        "create" => HistoryOp::Create {
-            dir: dir()?,
-            name: string("name")?,
-        },
-        "mkdir" => HistoryOp::Mkdir {
-            dir: dir()?,
-            name: string("name")?,
-        },
-        "unlink" => HistoryOp::Unlink {
-            dir: dir()?,
-            name: string("name")?,
-        },
-        "rename" => HistoryOp::Rename {
-            src_dir: dir()?,
-            src_name: string("name")?,
-            dst_dir: num("dir2").ok_or("missing dir2")?,
-            dst_name: string("name2")?,
-        },
-        "lookup" => HistoryOp::Lookup {
-            dir: dir()?,
-            name: string("name")?,
-            found: match e.get("found") {
-                Some(Value::Null) | None => None,
-                Some(v) => Some(v.as_u64().ok_or("bad found")?),
-            },
-        },
-        "readdir" => HistoryOp::Readdir {
-            dir: dir()?,
-            entries: num("entries").ok_or("missing entries")?,
-        },
-        "merge" => HistoryOp::Merge {
-            events: num("events").ok_or("missing events")?,
-        },
-        other => return Err(format!("unknown op {other:?}")),
-    };
-    Ok(HistoryEvent {
-        client: num("client").ok_or("missing client")?,
-        scope: HistoryScope::parse(
-            e.get("scope")
-                .and_then(Value::as_str)
-                .ok_or("missing scope")?,
-        )?,
-        op,
-        result: HistoryResult::parse(
-            e.get("result")
-                .and_then(Value::as_str)
-                .ok_or("missing result")?,
-        )?,
-        ino: num("ino").unwrap_or(0),
-        invoke: Nanos(num("invoke").ok_or("missing invoke")?),
-        ack: Nanos(num("ack").ok_or("missing ack")?),
-        epoch: num("epoch").unwrap_or(0),
-        trace_id: num("trace_id").unwrap_or(0),
-    })
 }
 
 #[cfg(test)]

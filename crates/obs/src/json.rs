@@ -1,13 +1,17 @@
-//! A minimal JSON validator and parser.
+//! A minimal JSON lexer, validator and parser.
 //!
 //! The exporters in this crate hand-roll their JSON (the workspace builds
 //! offline, with no serde); this module is the matching safety net — a
-//! strict recursive-descent parser used by tests (and callers that write
-//! `--metrics-out` files) to prove the output is well-formed, and by the
-//! benchmark regression gate to read baselines back. [`validate`] checks
-//! validity only; [`parse`] builds a [`Value`] tree. Both apply the same
-//! strict grammar (no leading zeros, strict escapes, no raw control
-//! characters in strings, no trailing data).
+//! strict parser used by tests (and callers that write `--metrics-out`
+//! files) to prove the output is well-formed, and by the benchmark
+//! regression gate to read baselines back. [`validate`] checks validity
+//! only; [`parse`] builds a [`Value`] tree; the history reader pulls
+//! tokens straight off the same `Lexer`. All apply one strict grammar
+//! (no leading zeros, strict escapes, no raw control characters in
+//! strings, no trailing data), and none recurses, however deep the
+//! nesting.
+
+use std::borrow::Cow;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,251 +85,372 @@ impl Value {
 /// Validates that `s` is exactly one well-formed JSON value (with optional
 /// surrounding whitespace). Returns the byte offset and a message on error.
 pub fn validate(s: &str) -> Result<(), String> {
-    parse(s).map(|_| ())
+    let mut lx = Lexer::new(s);
+    lx.skip()?;
+    lx.finish()
 }
 
 /// Parses `s` as exactly one JSON value under the same strict grammar as
 /// [`validate`].
 pub fn parse(s: &str) -> Result<Value, String> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    let v = value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
+    let mut lx = Lexer::new(s);
+    let v = lx.value()?;
+    lx.finish()?;
     Ok(v)
+}
+
+/// The exact value of a JSON number token read as a `u64`. Plain digit
+/// strings convert exactly and fail past `u64::MAX`; other spellings
+/// (`2.0`, `1e3`, `-0`) count when they denote a non-negative integer
+/// no larger than 2^53, where `f64` is still exact.
+pub(crate) fn exact_u64(number: &str) -> Option<u64> {
+    if number.bytes().all(|c| c.is_ascii_digit()) {
+        return number.parse().ok();
+    }
+    let n: f64 = number.parse().ok()?;
+    (n >= 0.0 && n.fract() == 0.0 && n <= (1u64 << 53) as f64).then_some(n as u64)
+}
+
+/// `s` as an owned string, or an empty one when the caller drops it.
+fn owned(s: Cow<str>, keep: bool) -> String {
+    if keep {
+        s.into_owned()
+    } else {
+        String::new()
+    }
 }
 
 fn err(pos: usize, msg: &str) -> String {
     format!("byte {pos}: {msg}")
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// A pull lexer over one JSON document. Callers step through it value
+/// by value: [`Lexer::peek`] shows how the next value starts, containers
+/// are walked with `begin_*`/`next_*`, scalars are read with
+/// [`Lexer::string`] and [`Lexer::number`], and [`Lexer::skip`] steps
+/// over any value whole. [`parse`] builds its tree on it, and
+/// `History::parse` reads events off it without building one, so both
+/// apply one grammar.
+pub(crate) struct Lexer<'a> {
+    s: &'a str,
+    b: &'a [u8],
+    pos: usize,
 }
 
-fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos).map(Value::Str),
-        Some(b't') => literal(b, pos, b"true").map(|_| Value::Bool(true)),
-        Some(b'f') => literal(b, pos, b"false").map(|_| Value::Bool(false)),
-        Some(b'n') => literal(b, pos, b"null").map(|_| Value::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        Some(c) => Err(err(*pos, &format!("unexpected byte {c:#x}"))),
-        None => Err(err(*pos, "unexpected end of input")),
+impl<'a> Lexer<'a> {
+    pub(crate) fn new(s: &'a str) -> Lexer<'a> {
+        Lexer {
+            s,
+            b: s.as_bytes(),
+            pos: 0,
+        }
     }
-}
 
-fn literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
+    fn skip_ws(&mut self) {
+        while matches!(self.b.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Skips whitespace and returns the first byte of the next token.
+    pub(crate) fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.b.get(self.pos).copied()
+    }
+
+    /// Requires that only whitespace follows.
+    pub(crate) fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.b.len() {
+            return Err(format!("trailing data at byte {}", self.pos));
+        }
         Ok(())
-    } else {
-        Err(err(*pos, "bad literal"))
     }
-}
 
-fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    let mut members = Vec::new();
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(members));
+    /// Consumes the `{` under the cursor; returns the first key, or
+    /// `None` for an empty object.
+    pub(crate) fn begin_object(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        self.pos += 1;
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(None);
+        }
+        self.key().map(Some)
     }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(err(*pos, "expected object key"));
-        }
-        let key = string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(err(*pos, "expected ':'"));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        let v = value(b, pos)?;
-        members.push((key, v));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
+
+    /// After a member's value: the next key, or `None` at the `}`.
+    pub(crate) fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                self.key().map(Some)
+            }
             Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(members));
+                self.pos += 1;
+                Ok(None)
             }
-            _ => return Err(err(*pos, "expected ',' or '}'")),
+            _ => Err(err(self.pos, "expected ',' or '}'")),
         }
     }
-}
 
-fn array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    let mut items = Vec::new();
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
+    fn key(&mut self) -> Result<Cow<'a, str>, String> {
+        if self.peek() != Some(b'"') {
+            return Err(err(self.pos, "expected object key"));
+        }
+        let key = self.string()?;
+        if self.peek() != Some(b':') {
+            return Err(err(self.pos, "expected ':'"));
+        }
+        self.pos += 1;
+        Ok(key)
     }
-    loop {
-        skip_ws(b, pos);
-        items.push(value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
+
+    /// Consumes the `[` under the cursor; returns whether an item follows.
+    pub(crate) fn begin_array(&mut self) -> Result<bool, String> {
+        self.pos += 1;
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// After an item: whether another follows (`false` at the `]`).
+    pub(crate) fn next_item(&mut self) -> Result<bool, String> {
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
             Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
+                self.pos += 1;
+                Ok(false)
             }
-            _ => return Err(err(*pos, "expected ',' or ']'")),
+            _ => Err(err(self.pos, "expected ',' or ']'")),
         }
     }
-}
 
-fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    let mut out = String::new();
-    *pos += 1; // '"'
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => {
-                        out.push('"');
-                        *pos += 1;
+    /// Reads the next value whole.
+    fn value(&mut self) -> Result<Value, String> {
+        self.read(true)
+    }
+
+    /// Checks the next value and steps over it, building nothing.
+    pub(crate) fn skip(&mut self) -> Result<(), String> {
+        self.read(false).map(drop)
+    }
+
+    /// Reads the next value without recursion: containers still open
+    /// wait on an explicit stack. Unless `keep`, their contents are
+    /// checked and dropped, so any depth costs O(depth) heap and nothing
+    /// nested is left to drop.
+    fn read(&mut self, keep: bool) -> Result<Value, String> {
+        enum Open {
+            Arr(Vec<Value>),
+            Obj(Vec<(String, Value)>, String),
+        }
+        let mut open: Vec<Open> = Vec::new();
+        loop {
+            let mut v = match self.peek() {
+                Some(b'{') => match self.begin_object()? {
+                    Some(key) => {
+                        open.push(Open::Obj(Vec::new(), owned(key, keep)));
+                        continue;
                     }
-                    Some(b'\\') => {
-                        out.push('\\');
-                        *pos += 1;
+                    None => Value::Obj(Vec::new()),
+                },
+                Some(b'[') => {
+                    if self.begin_array()? {
+                        open.push(Open::Arr(Vec::new()));
+                        continue;
                     }
-                    Some(b'/') => {
-                        out.push('/');
-                        *pos += 1;
+                    Value::Arr(Vec::new())
+                }
+                Some(b'"') => Value::Str(owned(self.string()?, keep)),
+                Some(b't') => self.literal(b"true", Value::Bool(true))?,
+                Some(b'f') => self.literal(b"false", Value::Bool(false))?,
+                Some(b'n') => self.literal(b"null", Value::Null)?,
+                Some(c) if c.is_ascii_digit() || c == b'-' => {
+                    let start = self.pos;
+                    let text = self.number()?;
+                    Value::Num(
+                        text.parse()
+                            .map_err(|_| err(start, "unrepresentable number"))?,
+                    )
+                }
+                Some(c) => return Err(err(self.pos, &format!("unexpected byte {c:#x}"))),
+                None => return Err(err(self.pos, "unexpected end of input")),
+            };
+            // Close every container this value completes.
+            loop {
+                match open.pop() {
+                    None => return Ok(v),
+                    Some(Open::Arr(mut items)) => {
+                        if keep {
+                            items.push(v);
+                        }
+                        if self.next_item()? {
+                            open.push(Open::Arr(items));
+                            break;
+                        }
+                        v = Value::Arr(items);
                     }
-                    Some(b'b') => {
-                        out.push('\u{8}');
-                        *pos += 1;
-                    }
-                    Some(b'f') => {
-                        out.push('\u{c}');
-                        *pos += 1;
-                    }
-                    Some(b'n') => {
-                        out.push('\n');
-                        *pos += 1;
-                    }
-                    Some(b'r') => {
-                        out.push('\r');
-                        *pos += 1;
-                    }
-                    Some(b't') => {
-                        out.push('\t');
-                        *pos += 1;
-                    }
-                    Some(b'u') => {
-                        let cp = hex4(b, pos)?;
-                        // Combine UTF-16 surrogate pairs; a lone surrogate
-                        // decodes to U+FFFD rather than failing.
-                        let ch = if (0xD800..0xDC00).contains(&cp) {
-                            if b.get(*pos) == Some(&b'\\') && b.get(*pos + 1) == Some(&b'u') {
-                                *pos += 1;
-                                let lo = hex4(b, pos)?;
-                                if (0xDC00..0xE000).contains(&lo) {
-                                    let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(c).unwrap_or('\u{FFFD}')
-                                } else {
-                                    '\u{FFFD}'
-                                }
-                            } else {
-                                '\u{FFFD}'
+                    Some(Open::Obj(mut members, key)) => {
+                        if keep {
+                            members.push((key, v));
+                        }
+                        match self.next_key()? {
+                            Some(key) => {
+                                open.push(Open::Obj(members, owned(key, keep)));
+                                break;
                             }
-                        } else {
-                            char::from_u32(cp).unwrap_or('\u{FFFD}')
-                        };
-                        out.push(ch);
+                            None => v = Value::Obj(members),
+                        }
                     }
-                    _ => return Err(err(*pos, "bad escape")),
                 }
             }
-            0x00..=0x1F => return Err(err(*pos, "raw control character in string")),
-            _ => {
-                // `s` is &str, so multi-byte UTF-8 sequences are valid;
-                // copy the whole code point.
-                let start = *pos;
-                *pos += 1;
-                while b.get(*pos).is_some_and(|&x| x & 0xC0 == 0x80) {
-                    *pos += 1;
+        }
+    }
+
+    fn literal(&mut self, lit: &[u8], v: Value) -> Result<Value, String> {
+        if self.b[self.pos..].starts_with(lit) {
+            self.pos += lit.len();
+            Ok(v)
+        } else {
+            Err(err(self.pos, "bad literal"))
+        }
+    }
+
+    /// Reads the string under the cursor. Runs of plain bytes are copied
+    /// whole; a string without escapes is borrowed from the input.
+    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.pos += 1; // '"'
+        let mut out: Option<String> = None;
+        let mut run = self.pos;
+        loop {
+            while self
+                .b
+                .get(self.pos)
+                .is_some_and(|&c| c != b'"' && c != b'\\' && c >= 0x20)
+            {
+                self.pos += 1;
+            }
+            // The run ends at an ASCII byte (or the end), so it is a
+            // whole number of UTF-8 code points.
+            let plain = &self.s[run..self.pos];
+            match self.b.get(self.pos) {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(match out {
+                        None => Cow::Borrowed(plain),
+                        Some(mut o) => {
+                            o.push_str(plain);
+                            Cow::Owned(o)
+                        }
+                    });
                 }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).expect("input is str"));
+                Some(b'\\') => {
+                    let o = out.get_or_insert_with(String::new);
+                    o.push_str(plain);
+                    self.pos += 1;
+                    let ch = self.escape()?;
+                    o.push(ch);
+                    run = self.pos;
+                }
+                Some(_) => return Err(err(self.pos, "raw control character in string")),
+                None => return Err(err(self.pos, "unterminated string")),
             }
         }
     }
-    Err(err(*pos, "unterminated string"))
-}
 
-/// Reads `\uXXXX`'s four hex digits (cursor on the `u`).
-fn hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
-    if b.len() < *pos + 5 || !b[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit) {
-        return Err(err(*pos, "bad \\u escape"));
+    /// Decodes the escape after a backslash (cursor on its letter).
+    fn escape(&mut self) -> Result<char, String> {
+        let simple = match self.b.get(self.pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let cp = self.hex4()?;
+                // Combine UTF-16 surrogate pairs; a lone surrogate
+                // decodes to U+FFFD rather than failing.
+                if !(0xD800..0xDC00).contains(&cp) {
+                    return Ok(char::from_u32(cp).unwrap_or('\u{FFFD}'));
+                }
+                if self.b.get(self.pos) != Some(&b'\\') || self.b.get(self.pos + 1) != Some(&b'u') {
+                    return Ok('\u{FFFD}');
+                }
+                self.pos += 1;
+                let lo = self.hex4()?;
+                if !(0xDC00..0xE000).contains(&lo) {
+                    return Ok('\u{FFFD}');
+                }
+                let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                return Ok(char::from_u32(c).unwrap_or('\u{FFFD}'));
+            }
+            _ => return Err(err(self.pos, "bad escape")),
+        };
+        self.pos += 1;
+        Ok(simple)
     }
-    let s = std::str::from_utf8(&b[*pos + 1..*pos + 5]).expect("hex digits");
-    *pos += 5;
-    Ok(u32::from_str_radix(s, 16).expect("hex digits"))
-}
 
-fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    /// Reads `\uXXXX`'s four hex digits (cursor on the `u`).
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self.b.get(self.pos + 1..self.pos + 5);
+        let Some(digits) = digits.filter(|d| d.iter().all(u8::is_ascii_hexdigit)) else {
+            return Err(err(self.pos, "bad \\u escape"));
+        };
+        let s = std::str::from_utf8(digits).expect("hex digits");
+        self.pos += 5;
+        Ok(u32::from_str_radix(s, 16).expect("hex digits"))
     }
-    let int_start = *pos;
-    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-    }
-    if *pos == int_start {
-        return Err(err(start, "expected digits"));
-    }
-    // No leading zeros (JSON): "0" alone is fine, "01" is not.
-    if b[int_start] == b'0' && *pos - int_start > 1 {
-        return Err(err(int_start, "leading zero"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let frac_start = *pos;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
+
+    /// Reads the number under the cursor and returns its text, checked
+    /// against the JSON number grammar.
+    pub(crate) fn number(&mut self) -> Result<&'a str, String> {
+        let start = self.pos;
+        if self.b.get(self.pos) == Some(&b'-') {
+            self.pos += 1;
         }
-        if *pos == frac_start {
-            return Err(err(*pos, "expected fraction digits"));
+        let int_start = self.pos;
+        self.digits();
+        if self.pos == int_start {
+            return Err(err(start, "expected digits"));
         }
+        // No leading zeros (JSON): "0" alone is fine, "01" is not.
+        if self.b[int_start] == b'0' && self.pos - int_start > 1 {
+            return Err(err(int_start, "leading zero"));
+        }
+        if self.b.get(self.pos) == Some(&b'.') {
+            self.pos += 1;
+            if !self.digits() {
+                return Err(err(self.pos, "expected fraction digits"));
+            }
+        }
+        if matches!(self.b.get(self.pos), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.b.get(self.pos), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !self.digits() {
+                return Err(err(self.pos, "expected exponent digits"));
+            }
+        }
+        Ok(&self.s[start..self.pos])
     }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
+
+    /// Skips a run of ASCII digits; returns whether there was one.
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while self.b.get(self.pos).is_some_and(u8::is_ascii_digit) {
+            self.pos += 1;
         }
-        let exp_start = *pos;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        if *pos == exp_start {
-            return Err(err(*pos, "expected exponent digits"));
-        }
+        self.pos > start
     }
-    let text = std::str::from_utf8(&b[start..*pos]).expect("ascii number");
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| err(start, "unrepresentable number"))
 }
 
 #[cfg(test)]
